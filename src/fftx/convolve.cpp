@@ -94,6 +94,17 @@ void RealConvPlan::accumulate_spectrum(const std::vector<cplx>& spec,
     }
 }
 
+std::shared_ptr<RealConvPlan> ConvPlanCache::find_locked(
+    std::uint64_t h, const double* kernel, std::size_t nk,
+    std::size_t max_nx) const {
+    for (const Entry& e : entries_) {
+        if (e.hash != h || e.max_nx != max_nx || e.kernel.size() != nk) continue;
+        if (!std::equal(kernel, kernel + nk, e.kernel.begin())) continue;
+        return e.plan;
+    }
+    return nullptr;
+}
+
 std::shared_ptr<RealConvPlan> ConvPlanCache::get(const double* kernel,
                                                  std::size_t nk,
                                                  std::size_t max_nx) {
@@ -104,11 +115,9 @@ std::shared_ptr<RealConvPlan> ConvPlanCache::get(const double* kernel,
 
     {
         const util::MutexLock lock(mutex_);
-        for (const Entry& e : entries_) {
-            if (e.hash != h || e.max_nx != max_nx || e.kernel.size() != nk) continue;
-            if (!std::equal(kernel, kernel + nk, e.kernel.begin())) continue;
+        if (std::shared_ptr<RealConvPlan> hit = find_locked(h, kernel, nk, max_nx)) {
             ++hits_;
-            return e.plan;
+            return hit;
         }
         ++misses_;
     }
@@ -117,7 +126,9 @@ std::shared_ptr<RealConvPlan> ConvPlanCache::get(const double* kernel,
     // step, and holding the mutex here would serialize run_batch workers
     // whose groups plan different kernels (same pattern as
     // la::FactorCache::factor).  Two threads missing on the same key may
-    // both build; the plans are identical, so either copy may be cached.
+    // both build (the plans are identical), but only one copy is cached —
+    // the recheck below returns the resident plan to the loser, so racing
+    // inserts never hold duplicate entries or burn eviction capacity.
     Entry e;
     e.hash = h;
     e.kernel.assign(kernel, kernel + nk);
@@ -125,6 +136,8 @@ std::shared_ptr<RealConvPlan> ConvPlanCache::get(const double* kernel,
     e.plan = std::make_shared<RealConvPlan>(kernel, nk, max_nx);
 
     const util::MutexLock lock(mutex_);
+    if (std::shared_ptr<RealConvPlan> raced = find_locked(h, kernel, nk, max_nx))
+        return raced;
     // Replace-newest eviction, same policy (and rationale) as
     // la::FactorCache: a warm run replaying more plans than the cap keeps
     // hitting the resident entries instead of treadmilling to zero.

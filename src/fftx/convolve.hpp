@@ -95,7 +95,10 @@ private:
 /// Lookups/insertions are serialized by an internal mutex, and the plans
 /// themselves serialize their scratch buffer, so a shared cache (and a
 /// shared plan) is safe across the Engine's run_batch worker threads.
-/// Beyond `max_plans` the most
+/// Plans are built outside the lock; threads that miss on the same key
+/// concurrently may each build one, but only one copy per key is cached
+/// and every caller gets that resident plan back (each miss still counts
+/// as a miss).  Beyond `max_plans` the most
 /// recent insertion is replaced (not the oldest), so cyclic replays
 /// longer than the cap keep the resident entries hitting — the same
 /// eviction policy as la::FactorCache.
@@ -136,6 +139,14 @@ private:
         std::size_t max_nx = 0;
         std::shared_ptr<RealConvPlan> plan;
     };
+
+    /// The resident plan for this exact key (hash, then tap-for-tap), or
+    /// null.
+    std::shared_ptr<RealConvPlan> find_locked(std::uint64_t h,
+                                              const double* kernel,
+                                              std::size_t nk,
+                                              std::size_t max_nx) const
+        REQUIRES(mutex_);
 
     /// mutable: the stats getters are const but must lock (an
     /// unsynchronized size()/hits() read racing get()'s insert is UB).

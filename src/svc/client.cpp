@@ -164,6 +164,12 @@ void Client::dial(bool reconnect) {
 }
 
 void Client::handshake(bool reconnect) {
+    {
+        // Raised BEFORE the receiver spawns, so its exit path (which
+        // clears it) can never be overtaken by this store.
+        const util::MutexLock lock(pending_mutex_);
+        receiving_ = true;
+    }
     receiver_ = std::thread([this] { receive_loop(); });
     // Minor-1 hello body: one reconnect flag byte.  A minor-0 server
     // ignores the body entirely, so this needs no negotiation.
@@ -172,33 +178,18 @@ void Client::handshake(bool reconnect) {
 
     std::promise<std::pair<MsgType, std::vector<std::uint8_t>>> promise;
     auto future = promise.get_future();
-    std::uint64_t id;
-    {
-        // Register BEFORE sending so a fast reply cannot race the map
-        // insert; the id must be reserved and mapped atomically.
-        const util::MutexLock lock(pending_mutex_);
-        id = next_id_++;
-        pending_[id].deliver = [&promise](MsgType t,
-                                          std::vector<std::uint8_t> body) {
-            promise.set_value({t, std::move(body)});
-        };
-    }
-    util::ByteWriter w;
-    FrameHeader h;
-    h.type = MsgType::hello;
-    h.request_id = id;
-    h.payload_len = hello_body.size();
-    encode_frame_header(w, h);
-    w.bytes(hello_body.data(), hello_body.size());
-    {
-        const util::MutexLock lock(write_mutex_);
-        if (!write_all(fd_, w.data().data(), w.size())) {
-            {
-                const util::MutexLock plock(pending_mutex_);
-                pending_.erase(id);
-            }
-            transport_fail("hello send failed");
+    Pending p;
+    p.deliver = [&promise](MsgType t, std::vector<std::uint8_t> body) {
+        promise.set_value({t, std::move(body)});
+    };
+    const std::uint64_t id = register_pending(p);
+    if (id == 0) transport_fail("connection closed before hello");
+    if (!send_frame(MsgType::hello, id, hello_body)) {
+        {
+            const util::MutexLock plock(pending_mutex_);
+            pending_.erase(id);
         }
+        transport_fail("hello send failed");
     }
     if (opt_.connect_timeout > 0 &&
         future.wait_for(std::chrono::duration<double>(opt_.connect_timeout)) ==
@@ -239,10 +230,37 @@ void Client::close() {
     minor_ = 0;
 }
 
+std::uint64_t Client::register_pending(Pending& p) {
+    // Register BEFORE sending so a fast reply cannot race the map insert;
+    // the id must be reserved and mapped atomically.
+    const util::MutexLock lock(pending_mutex_);
+    if (!receiving_) return 0;  // no receiver left to deliver the reply
+    const std::uint64_t id = next_id_++;
+    pending_[id] = std::move(p);
+    return id;
+}
+
+bool Client::send_frame(MsgType type, std::uint64_t id,
+                        const std::vector<std::uint8_t>& payload) {
+    util::ByteWriter w;
+    FrameHeader h;
+    h.type = type;
+    h.request_id = id;
+    h.payload_len = payload.size();
+    encode_frame_header(w, h);
+    w.bytes(payload.data(), payload.size());
+    const util::MutexLock lock(write_mutex_);
+    return write_all(fd_, w.data().data(), w.size());
+}
+
 void Client::fail_all_pending(const std::string& why) {
     std::map<std::uint64_t, Pending> orphans;
     {
+        // Same critical section as the swap: a call registering after it
+        // sees receiving_ == false and fails itself instead of parking an
+        // entry that no one will ever deliver.
         const util::MutexLock lock(pending_mutex_);
+        receiving_ = false;
         orphans.swap(pending_);
     }
     util::ByteWriter w;
@@ -297,34 +315,20 @@ std::pair<MsgType, std::vector<std::uint8_t>> Client::call(
     std::promise<std::pair<MsgType, std::vector<std::uint8_t>>> promise;
     std::future<std::pair<MsgType, std::vector<std::uint8_t>>> future =
         promise.get_future();
-    std::uint64_t id;
-    {
-        // Register BEFORE sending so a fast reply cannot race the map
-        // insert; the id must be reserved and mapped atomically.
-        const util::MutexLock lock(pending_mutex_);
-        id = next_id_++;
-        pending_[id].deliver = [&promise](MsgType t,
-                                          std::vector<std::uint8_t> body) {
-            promise.set_value({t, std::move(body)});
-        };
-    }
-    util::ByteWriter w;
-    FrameHeader h;
-    h.type = type;
-    h.request_id = id;
-    h.payload_len = payload.size();
-    encode_frame_header(w, h);
-    w.bytes(payload.data(), payload.size());
-    {
-        const util::MutexLock lock(write_mutex_);
-        if (!write_all(fd_, w.data().data(), w.size())) {
-            transport_broken_.store(true, std::memory_order_release);
-            {
-                const util::MutexLock plock(pending_mutex_);
-                pending_.erase(id);
-            }
-            transport_fail("send failed (connection closed)");
+    Pending p;
+    p.deliver = [&promise](MsgType t, std::vector<std::uint8_t> body) {
+        promise.set_value({t, std::move(body)});
+    };
+    // id 0: the receiver had already exited, so nothing would ever
+    // deliver a reply — fail exactly like a send to the dead peer.
+    const std::uint64_t id = register_pending(p);
+    if (id == 0 || !send_frame(type, id, payload)) {
+        transport_broken_.store(true, std::memory_order_release);
+        {
+            const util::MutexLock plock(pending_mutex_);
+            pending_.erase(id);
         }
+        transport_fail("send failed (connection closed)");
     }
     auto [rtype, body] = future.get();
     if (rtype == MsgType::error) {
@@ -429,61 +433,45 @@ void Client::submit_cb(std::uint64_t handle, const WireScenario& sc,
     // deadline is silently dropped rather than sent as trailing garbage.
     if (minor_ >= 1) body.u64(deadline_ms);
 
-    std::uint64_t id;
-    {
-        const util::MutexLock lock(pending_mutex_);
-        id = next_id_++;
-        pending_[id].deliver = [cb = std::move(cb)](
-                                   MsgType type,
-                                   std::vector<std::uint8_t> payload) {
-            api::SolveResult res;
-            try {
-                util::ByteReader r(payload.data(), payload.size());
-                if (type == MsgType::result) {
-                    res = decode_result(r);
-                } else if (type == MsgType::error) {
-                    res.status = decode_status(r);
-                } else {
-                    res.status = {ErrorCode::internal_error,
-                                  "unexpected reply type"};
-                }
-            } catch (...) {
-                res.status = status_from_current_exception();
+    Pending p;
+    p.deliver = [cb = std::move(cb)](MsgType type,
+                                     std::vector<std::uint8_t> payload) {
+        api::SolveResult res;
+        try {
+            util::ByteReader r(payload.data(), payload.size());
+            if (type == MsgType::result) {
+                res = decode_result(r);
+            } else if (type == MsgType::error) {
+                res.status = decode_status(r);
+            } else {
+                res.status = {ErrorCode::internal_error,
+                              "unexpected reply type"};
             }
-            cb(std::move(res));
-        };
-    }
-    util::ByteWriter w;
-    FrameHeader h;
-    h.type = MsgType::submit;
-    h.request_id = id;
-    h.payload_len = body.size();
-    encode_frame_header(w, h);
-    w.bytes(body.data().data(), body.size());
-    bool sent;
-    {
-        const util::MutexLock lock(write_mutex_);
-        sent = write_all(fd_, w.data().data(), w.size());
-    }
-    if (!sent) {
-        transport_broken_.store(true, std::memory_order_release);
-        // Deliver the failure outside every lock: the callback is free to
-        // submit again.  Exactly-once with the receiver's fail_all_pending:
-        // whoever erases the map entry delivers; the other path finds the
-        // entry gone and does nothing.
-        Pending orphan;
-        {
-            const util::MutexLock plock(pending_mutex_);
-            const auto it = pending_.find(id);
-            if (it == pending_.end()) return;  // receiver already failed it
-            orphan = std::move(it->second);
-            pending_.erase(it);
+        } catch (...) {
+            res.status = status_from_current_exception();
         }
-        util::ByteWriter err;
-        encode(err, Status{ErrorCode::internal_error,
-                           "send failed (connection closed)"});
-        orphan.deliver(MsgType::error, err.data());
+        cb(std::move(res));
+    };
+    const std::uint64_t id = register_pending(p);
+    if (id != 0 && send_frame(MsgType::submit, id, body.data())) return;
+
+    // Transport failure — the receiver had already exited (id 0) or the
+    // send failed.  Deliver it outside every lock: the callback is free to
+    // submit again.  Exactly-once with the receiver's fail_all_pending:
+    // whoever erases the map entry delivers; the other path finds the
+    // entry gone and does nothing.
+    transport_broken_.store(true, std::memory_order_release);
+    if (id != 0) {
+        const util::MutexLock plock(pending_mutex_);
+        const auto it = pending_.find(id);
+        if (it == pending_.end()) return;  // receiver already failed it
+        p = std::move(it->second);
+        pending_.erase(it);
     }
+    util::ByteWriter err;
+    encode(err, Status{ErrorCode::internal_error,
+                       "send failed (connection closed)"});
+    p.deliver(MsgType::error, err.data());
 }
 
 void Client::save_caches(std::uint64_t handle, const std::string& path) {

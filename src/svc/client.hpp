@@ -17,6 +17,8 @@
 /// carries the code and the transport stays healthy.  A broken connection
 /// fails every pending call with ErrorCode::internal_error — each
 /// registered callback exactly once, never dropped, never double-fired.
+/// A request issued after the connection has died fails immediately with
+/// internal_error, exactly once (call() throws, submit_cb delivers it).
 ///
 /// Survivability (PR 10): ClientOptions carries a RetryPolicy.  The
 /// blocking submit() — idempotent by construction: the daemon recomputes,
@@ -157,6 +159,12 @@ private:
     /// are not known idempotent, so transport failures propagate).
     std::pair<MsgType, std::vector<std::uint8_t>> retry_call(
         MsgType type, const std::vector<std::uint8_t>& payload);
+    /// Reserve an id and map `p` under it; returns 0 (leaving `p`
+    /// untouched) when no receiver is live to deliver the reply.
+    std::uint64_t register_pending(Pending& p);
+    /// Write one whole frame; false when the socket write fails.
+    bool send_frame(MsgType type, std::uint64_t id,
+                    const std::vector<std::uint8_t>& payload);
     void fail_all_pending(const std::string& why);
     /// Sleep the deterministic exponential-backoff delay for `attempt`.
     void sleep_backoff(int attempt);
@@ -182,6 +190,12 @@ private:
     util::Mutex pending_mutex_;
     std::map<std::uint64_t, Pending> pending_ GUARDED_BY(pending_mutex_);
     std::uint64_t next_id_ GUARDED_BY(pending_mutex_) = 1;
+    /// True while a receive thread is live to deliver replies: raised by
+    /// handshake() before it spawns the receiver, cleared by
+    /// fail_all_pending() in the same critical section as its swap.
+    /// Registration checks it, so a request issued after the receiver has
+    /// exited fails at once instead of waiting on a reply no one reads.
+    bool receiving_ GUARDED_BY(pending_mutex_) = false;
     /// Backoff jitter stream; its own mutex so concurrent blocking
     /// submits from different threads stay race-free.
     util::Mutex retry_mutex_;

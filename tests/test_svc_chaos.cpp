@@ -18,7 +18,10 @@
 ///   - a wire deadline expires as deadline_exceeded DATA whether it dies
 ///     in the queue (never touching the Engine) or mid-sweep;
 ///   - a peer that stops reading its replies trips the write timeout and
-///     is dropped instead of wedging the dispatcher.
+///     is dropped instead of wedging the dispatcher;
+///   - a request issued after the client's receive thread has exited on a
+///     dropped connection fails at once with internal_error, instead of
+///     waiting forever on a reply no one will read.
 ///
 /// Every fault is armed through ScopedFault so a failed ASSERT cannot
 /// leave a site armed for later tests.
@@ -35,6 +38,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,6 +128,27 @@ void expect_result_bits(const api::SolveResult& got,
     EXPECT_EQ(got.grid, want.grid);
     EXPECT_EQ(got.steps, want.steps);
 }
+
+/// A TCP client whose connection the server has dropped: its first submit
+/// resolves with internal_error, so the receive thread has seen EOF and
+/// exited.  TCP because the first write to a peer that has shut its socket
+/// down still succeeds there — over a Unix socket it fails with EPIPE and
+/// the late-registration window never opens.  Heap-held so a test can
+/// leak it when a hung call still uses it.
+std::unique_ptr<svc::Client> dropped_tcp_client(const svc::Server& server,
+                                                std::uint64_t& handle) {
+    auto client = std::make_unique<svc::Client>();
+    client->connect_tcp(server.port());
+    handle = client->register_system(rc_ladder(8));
+    const ScopedFault drop(Site::conn_drop);
+    const api::SolveResult first =
+        client->submit_async(handle, base_scenario()).get();
+    EXPECT_EQ(first.status.code, ErrorCode::internal_error);
+    EXPECT_EQ(drop.fires(), 1);
+    return client;
+}
+
+constexpr auto kLateBound = std::chrono::seconds(5);
 
 } // namespace
 
@@ -225,6 +250,60 @@ TEST(SvcChaos, RetryingClientRecoversBitIdenticalResultAfterConnDrop) {
     EXPECT_GE(server.stats().reconnects_seen, 1u);
 
     client.close();
+    server.stop();
+}
+
+TEST(SvcChaos, SubmitAfterTheReceiverExitedFailsInsteadOfHanging) {
+    svc::ServerOptions opt;
+    opt.tcp_port = 0;  // ephemeral loopback
+    opt.batch_window = 0.0;
+    svc::Server server(opt);
+    server.start();
+
+    std::uint64_t h = 0;
+    const std::unique_ptr<svc::Client> client = dropped_tcp_client(server, h);
+
+    // Registered after the receiver failed everything it held: it must
+    // still resolve, exactly once, with internal_error.
+    std::future<api::SolveResult> late = client->submit_async(h, base_scenario());
+    ASSERT_EQ(late.wait_for(kLateBound), std::future_status::ready)
+        << "submit on a dead connection never resolved";
+    EXPECT_EQ(late.get().status.code, ErrorCode::internal_error);
+
+    client->close();
+    server.stop();
+}
+
+TEST(SvcChaos, ControlCallAfterTheReceiverExitedThrowsInsteadOfHanging) {
+    svc::ServerOptions opt;
+    opt.tcp_port = 0;  // ephemeral loopback
+    opt.batch_window = 0.0;
+    svc::Server server(opt);
+    server.start();
+
+    std::uint64_t h = 0;
+    std::unique_ptr<svc::Client> client = dropped_tcp_client(server, h);
+
+    // The call() path behind every control request.
+    svc::Client* raw = client.get();
+    std::future<void> ping =
+        std::async(std::launch::async, [raw] { raw->ping(); });
+    if (ping.wait_for(kLateBound) != std::future_status::ready) {
+        // The hung call still uses the client, and std::async's future
+        // would block on it in its destructor: leave both behind.
+        (void)new std::future<void>(std::move(ping));
+        (void)client.release();
+        server.stop();
+        FAIL() << "ping() on a dead connection never returned";
+    }
+    try {
+        ping.get();
+        ADD_FAILURE() << "ping() on a dead connection returned normally";
+    } catch (const opmsim::solver_error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::internal_error) << e.what();
+    }
+
+    client->close();
     server.stop();
 }
 
