@@ -15,13 +15,13 @@ otherwise.  The rules (see docs/static_analysis.md for the rationale):
                         names the LAST enumerator.
   diagnostics-append    Diagnostics fields only append: the committed
                         manifest (ci/diagnostics_fields.txt) must be an
-                        exact ordered prefix of the struct, and every field
-                        must appear in both wire codec functions.
+                        exact ordered prefix of Diagnostics::fields(), the
+                        table the wire codec folds over.
   runcontrol-sweeps     every solver sweep file consults RunControl (or
                         delegates to a PencilSolve that does).
-  options-wire-parity   every field compared by an options_equal overload
-                        travels in the matching wire encode AND decode
-                        block (explicit allowlist for fields that
+  fields-table          every member of a wire-visible struct is in its
+                        fields() table, which equality and the wire codecs
+                        fold over (explicit allowlist for members that
                         deliberately stay process-local).
   naked-throw           src/ does not throw raw std::runtime_error /
                         std::logic_error outside the status/check taxonomy.
@@ -47,14 +47,28 @@ import sys
 # Allowlists.  Every entry carries its justification; additions require one.
 # --------------------------------------------------------------------------
 
-# options_equal compares these fields, but they deliberately do NOT travel
-# on the wire.
-OPTIONS_WIRE_ALLOWLIST = {
-    # The daemon supplies per-system pattern analyses from its own
-    # SolveCaches bundle; shipping a client-side symbolic pointer would be
-    # meaningless cross-process.  Equality still compares it so in-process
-    # Engine reuse distinguishes "caller pinned a symbolic" configs.
-    ("transient::TransientOptions", "symbolic"),
+# Wire-visible structs: every member must be in the struct's fields() table
+# (src/util/fields.hpp), so equality and the wire codecs cannot miss it.
+WIRE_STRUCTS = [
+    ("src/opm/solver.hpp", "OpmOptions"),
+    ("src/opm/multiterm.hpp", "MultiTermOptions"),
+    ("src/opm/adaptive.hpp", "AdaptiveOptions"),
+    ("src/transient/steppers.hpp", "TransientOptions"),
+    ("src/transient/grunwald.hpp", "GrunwaldOptions"),
+    ("src/opm/diagnostics.hpp", "Diagnostics"),
+    ("src/svc/wire.hpp", "ServiceStats"),
+]
+
+# Members left out of fields() on purpose ("member" in any struct, or
+# "Struct::member").
+FIELDS_TABLE_ALLOWLIST = {
+    # Engine-injected per-system cache bundle: a process-local pointer.
+    "caches",
+    # Engine-injected deadline/cancel token: a process-local pointer.
+    "control",
+    # Never travels (the daemon's caches supply the analysis); compared
+    # explicitly by options_equal in src/api/registry.cpp.
+    "TransientOptions::symbolic",
 }
 
 # Files allowed to throw raw std:: exceptions: the taxonomy roots.
@@ -128,30 +142,55 @@ def function_body(text: str, signature_re: str) -> str:
     raise ValueError(f"unbalanced braces after: {signature_re}")
 
 
-def struct_fields(text: str, struct_name: str) -> list[str]:
-    """Field names of a plain aggregate, in declaration order."""
+def struct_body(text: str, struct_name: str) -> str:
+    """The brace-matched body of `struct struct_name`, comments stripped."""
     clean = strip_comments(text)
-    m = re.search(r"struct\s+" + struct_name + r"\b[^{]*\{", clean)
+    m = re.search(r"struct\s+" + struct_name + r"\b[^{;]*\{", clean)
     if m is None:
         raise ValueError(f"struct {struct_name} not found")
-    i = clean.index("{", m.start())
-    depth, j = 0, i
+    i = m.end() - 1
+    depth = 0
     for j in range(i, len(clean)):
         if clean[j] == "{":
             depth += 1
         elif clean[j] == "}":
             depth -= 1
             if depth == 0:
-                break
-    body = clean[i + 1:j]
+                return clean[i + 1:j]
+    raise ValueError(f"unbalanced braces in struct {struct_name}")
+
+
+def struct_fields(text: str, struct_name: str) -> list[str]:
+    """Non-static data members of a struct, in declaration order."""
+    body = struct_body(text, struct_name)
+    # Collapse nested brace blocks (function bodies, brace initializers)
+    # so only top-level declarations remain.
+    while True:
+        flat = re.sub(r"\{[^{}]*\}", "@", body)
+        if flat == body:
+            break
+        body = flat
     fields = []
-    # One declaration per ';' — "Type name;" or "Type name = init;".
-    for decl in body.split(";"):
-        m2 = re.match(r"\s*[\w:<>,\s*&]+?[\s&*]([A-Za-z_]\w*)\s*(=.*)?$",
-                      decl, flags=re.DOTALL)
-        if m2:
-            fields.append(m2.group(1))
+    # One declaration per ';' or collapsed function body.
+    for decl in re.split(r"[;@]", body):
+        decl = decl.strip()
+        if not decl or "(" in decl or re.match(r"(static|using|enum|struct|"
+                                               r"friend|template)\b", decl):
+            continue
+        m = re.match(r"[\w:<>,\s*&]+?[\s&*]([A-Za-z_]\w*)\s*(=.*)?$", decl,
+                     flags=re.DOTALL)
+        if m:
+            fields.append(m.group(1))
     return fields
+
+
+def fields_table(text: str, struct_name: str) -> list[str]:
+    """Member names listed by `struct_name::fields()`, in table order."""
+    body = struct_body(text, struct_name)
+    m = re.search(r"\bfields\s*\(\s*\)", body)
+    if m is None:
+        raise ValueError(f"{struct_name}::fields() not found")
+    return re.findall(r"&\s*" + struct_name + r"::(\w+)", body[m.end():])
 
 
 # --------------------------------------------------------------------------
@@ -193,41 +232,30 @@ def rule_error_code_wire(repo: pathlib.Path) -> list[str]:
 
 def rule_diagnostics_append(repo: pathlib.Path) -> list[str]:
     out = []
-    fields = struct_fields(read(repo, "src/opm/diagnostics.hpp"), "Diagnostics")
+    fields = fields_table(read(repo, "src/opm/diagnostics.hpp"), "Diagnostics")
     if not fields:
-        return ["diagnostics-append: failed to parse Diagnostics fields"]
+        return ["diagnostics-append: failed to parse Diagnostics::fields()"]
 
     manifest_path = repo / "ci/diagnostics_fields.txt"
     manifest = [ln.strip() for ln in manifest_path.read_text().splitlines()
                 if ln.strip() and not ln.lstrip().startswith("#")]
 
-    # The manifest must be an exact ordered prefix: removals, renames,
-    # reorders and mid-struct insertions all break old wire decoders.
+    # The manifest must be an exact ordered prefix of the wire order:
+    # removals, renames, reorders and mid-table insertions all break old
+    # wire decoders.
     for i, name in enumerate(manifest):
         if i >= len(fields) or fields[i] != name:
             found = fields[i] if i < len(fields) else "<missing>"
-            out.append(f"diagnostics-append: Diagnostics field #{i} is "
-                       f"'{found}' but the committed manifest says '{name}' — "
-                       f"fields may only be APPENDED (wire compat); never "
-                       f"remove, rename or reorder")
+            out.append(f"diagnostics-append: Diagnostics::fields() entry #{i} "
+                       f"is '{found}' but the committed manifest says "
+                       f"'{name}' — fields may only be APPENDED (wire "
+                       f"compat); never remove, rename or reorder")
             break
     else:
         for name in fields[len(manifest):]:
             out.append(f"diagnostics-append: new Diagnostics field '{name}' is "
                        f"not in ci/diagnostics_fields.txt — append it to the "
-                       f"manifest in the same PR (and add its codec clauses)")
-
-    wire = read(repo, "src/svc/wire.cpp")
-    enc = function_body(
-        wire, r"void\s+encode\s*\(\s*util::ByteWriter&\s*\w+\s*,\s*const\s+Diagnostics&")
-    dec = function_body(wire, r"Diagnostics\s+decode_diagnostics\s*\(")
-    for name in fields:
-        if not re.search(r"\bd\." + name + r"\b", enc):
-            out.append(f"diagnostics-append: Diagnostics::{name} is never "
-                       f"written by encode() in src/svc/wire.cpp")
-        if not re.search(r"\bd\." + name + r"\b", dec):
-            out.append(f"diagnostics-append: Diagnostics::{name} is never "
-                       f"read by decode_diagnostics() in src/svc/wire.cpp")
+                       f"manifest in the same change")
     return out
 
 
@@ -242,72 +270,18 @@ def rule_runcontrol_sweeps(repo: pathlib.Path) -> list[str]:
     return out
 
 
-def parse_options_equal(registry_text: str) -> dict[str, list[str]]:
-    """Map qualified option type -> fields its options_equal compares."""
-    clean = strip_comments(registry_text)
-    overloads = {}
-    for m in re.finditer(
-            r"bool\s+options_equal\s*\(\s*const\s+([\w:]+)&\s*a\s*,", clean):
-        body = function_body(clean[m.start():],
-                             r"bool\s+options_equal\s*\(")
-        overloads[m.group(1)] = re.findall(r"\ba\.(\w+)\s*==", body)
-    return overloads
-
-
-def wire_option_blocks(wire_text: str) -> tuple[dict[str, str], dict[str, str]]:
-    """(encode, decode) maps: qualified option type -> case-block text."""
-    clean = strip_comments(wire_text)
-    enc_fn = function_body(
-        clean, r"void\s+encode\s*\(\s*util::ByteWriter&\s*\w+\s*,"
-               r"\s*const\s+api::MethodConfig&")
-    dec_fn = function_body(clean, r"api::MethodConfig\s+decode_method_config\s*\(")
-
-    def split_cases(fn_body: str) -> list[str]:
-        starts = [m.start() for m in re.finditer(r"case\s+api::Method::", fn_body)]
-        return [fn_body[s:e] for s, e in
-                zip(starts, starts[1:] + [len(fn_body)])]
-
-    enc, dec = {}, {}
-    for block in split_cases(enc_fn):
-        m = re.search(r"std::get<([\w:]+)>", block)
-        if m:
-            enc[m.group(1)] = block
-    for block in split_cases(dec_fn):
-        m = re.search(r"\b([\w:]+)\s+o\s*;", block)
-        if m:
-            dec[m.group(1)] = block
-    return enc, dec
-
-
-def rule_options_wire_parity(repo: pathlib.Path) -> list[str]:
+def rule_fields_table(repo: pathlib.Path) -> list[str]:
     out = []
-    overloads = parse_options_equal(read(repo, "src/api/registry.cpp"))
-    if not overloads:
-        return ["options-wire-parity: no options_equal overloads found in "
-                "src/api/registry.cpp"]
-    enc, dec = wire_option_blocks(read(repo, "src/svc/wire.cpp"))
-    for qtype, fields in overloads.items():
-        # registry.cpp writes `opm::OpmOptions`; wire.cpp uses the same
-        # qualification, so keys line up directly.
-        if qtype not in enc:
-            out.append(f"options-wire-parity: no wire encode case found for "
-                       f"{qtype} in src/svc/wire.cpp")
-            continue
-        if qtype not in dec:
-            out.append(f"options-wire-parity: no wire decode case found for "
-                       f"{qtype} in src/svc/wire.cpp")
-            continue
-        for f in fields:
-            if (qtype, f) in OPTIONS_WIRE_ALLOWLIST:
+    for rel, struct in WIRE_STRUCTS:
+        text = read(repo, rel)
+        table = set(fields_table(text, struct))
+        for name in struct_fields(text, struct):
+            if (name in table or name in FIELDS_TABLE_ALLOWLIST
+                    or f"{struct}::{name}" in FIELDS_TABLE_ALLOWLIST):
                 continue
-            pat = re.compile(r"\bo\." + f + r"\b")
-            if not pat.search(enc[qtype]):
-                out.append(f"options-wire-parity: {qtype}::{f} is compared by "
-                           f"options_equal but never encoded on the wire — "
-                           f"equal-looking remote configs could differ")
-            if not pat.search(dec[qtype]):
-                out.append(f"options-wire-parity: {qtype}::{f} is compared by "
-                           f"options_equal but never decoded from the wire")
+            out.append(f"fields-table: {struct}::{name} ({rel}) is not in "
+                       f"{struct}::fields() — equality and the wire codec "
+                       f"would skip it; append it to the table")
     return out
 
 
@@ -353,7 +327,7 @@ RULES = [
     rule_error_code_wire,
     rule_diagnostics_append,
     rule_runcontrol_sweeps,
-    rule_options_wire_parity,
+    rule_fields_table,
     rule_naked_throw,
     rule_fault_sites_armed,
 ]

@@ -1,6 +1,7 @@
 #include "api/registry.hpp"
 
 #include "util/check.hpp"
+#include "util/fields.hpp"
 
 namespace opmsim::api {
 
@@ -21,82 +22,66 @@ const char* method_name(Method m) {
 
 namespace {
 
-SolveResult run_opm(const SystemView& sys, const Scenario& sc) {
-    opm::OpmOptions opt = std::get<opm::OpmOptions>(sc.config);
-    opt.caches = sys.caches;
-    opt.control = sys.control;
-    opm::OpmResult r =
-        opm::simulate_opm(*sys.descriptor, sc.sources, sc.t_end, sc.steps, opt);
+// ---- legacy result -> SolveResult, one overload per legacy result type ---
+
+SolveResult to_solve_result(opm::OpmResult&& r, Method m) {
     SolveResult out;
-    out.method = Method::opm;
+    out.method = m;
     out.outputs = std::move(r.outputs);
     out.states = std::move(r.coeffs);
     out.grid = std::move(r.edges);
-    out.diag = r.diag;
+    out.diag = std::move(r.diag);
     return out;
 }
 
-SolveResult run_multiterm(const SystemView& sys, const Scenario& sc) {
-    opm::MultiTermOptions opt = std::get<opm::MultiTermOptions>(sc.config);
-    opt.caches = sys.caches;
-    opt.control = sys.control;
-    opm::OpmResult r = opm::simulate_multiterm(*sys.multiterm, sc.sources,
-                                               sc.t_end, sc.steps, opt);
+SolveResult to_solve_result(opm::AdaptiveResult&& r, Method m) {
     SolveResult out;
-    out.method = Method::multiterm;
-    out.outputs = std::move(r.outputs);
-    out.states = std::move(r.coeffs);
-    out.grid = std::move(r.edges);
-    out.diag = r.diag;
-    return out;
-}
-
-SolveResult run_adaptive(const SystemView& sys, const Scenario& sc) {
-    opm::AdaptiveOptions opt = std::get<opm::AdaptiveOptions>(sc.config);
-    opt.caches = sys.caches;
-    opt.control = sys.control;
-    opm::AdaptiveResult r =
-        opm::simulate_opm_adaptive(*sys.descriptor, sc.sources, sc.t_end, opt);
-    SolveResult out;
-    out.method = Method::adaptive;
+    out.method = m;
     out.outputs = std::move(r.outputs);
     out.states = std::move(r.coeffs);
     out.grid = std::move(r.edges);
     out.steps = std::move(r.steps);
-    out.diag = r.diag;
+    out.diag = std::move(r.diag);
     return out;
 }
 
-SolveResult run_transient(const SystemView& sys, const Scenario& sc) {
-    transient::TransientOptions opt =
-        std::get<transient::TransientOptions>(sc.config);
-    opt.caches = sys.caches;
-    opt.control = sys.control;
-    transient::TransientResult r = transient::simulate_transient(
-        *sys.descriptor, sc.sources, sc.t_end, sc.steps, opt);
+SolveResult to_solve_result(transient::TransientResult&& r, Method m) {
     SolveResult out;
-    out.method = Method::transient;
+    out.method = m;
     out.outputs = std::move(r.outputs);
     out.states = std::move(r.states);
     out.grid = std::move(r.times);
-    out.diag = r.diag;
+    out.diag = std::move(r.diag);
     return out;
 }
 
-SolveResult run_grunwald(const SystemView& sys, const Scenario& sc) {
-    transient::GrunwaldOptions opt =
-        std::get<transient::GrunwaldOptions>(sc.config);
-    opt.caches = sys.caches;
-    opt.control = sys.control;
-    transient::GrunwaldResult r = transient::simulate_grunwald(
-        *sys.descriptor, sc.sources, sc.t_end, sc.steps, opt);
+SolveResult to_solve_result(transient::GrunwaldResult&& r, Method m) {
     SolveResult out;
-    out.method = Method::grunwald;
+    out.method = m;
     out.outputs = std::move(r.outputs);
     out.states = std::move(r.states);
     out.grid = std::move(r.times);
-    out.diag = r.diag;
+    out.diag = std::move(r.diag);
     return out;
+}
+
+template <class LegacyResult>
+std::vector<SolveResult> to_solve_results(std::vector<LegacyResult>&& rs,
+                                          Method m) {
+    std::vector<SolveResult> out;
+    out.reserve(rs.size());
+    for (LegacyResult& r : rs) out.push_back(to_solve_result(std::move(r), m));
+    return out;
+}
+
+/// The scenario's per-method options with the handle's cache bundle and
+/// the batch's RunControl injected.
+template <class Options>
+Options options_for(const SystemView& sys, const Scenario& sc) {
+    Options opt = std::get<Options>(sc.config);
+    opt.caches = sys.caches;
+    opt.control = sys.control;
+    return opt;
 }
 
 // ---- batched group runners (source-only scenario groups) -----------------
@@ -111,104 +96,80 @@ std::vector<std::vector<wave::Source>> group_sources(
 
 std::vector<SolveResult> run_opm_group(const SystemView& sys,
                                        std::span<const Scenario> group) {
-    opm::OpmOptions opt = std::get<opm::OpmOptions>(group.front().config);
-    opt.caches = sys.caches;
-    opt.control = sys.control;
-    std::vector<opm::OpmResult> rs =
-        opm::simulate_opm_batch(*sys.descriptor, group_sources(group),
-                                group.front().t_end, group.front().steps, opt);
-    std::vector<SolveResult> out(rs.size());
-    for (std::size_t s = 0; s < rs.size(); ++s) {
-        out[s].method = Method::opm;
-        out[s].outputs = std::move(rs[s].outputs);
-        out[s].states = std::move(rs[s].coeffs);
-        out[s].grid = std::move(rs[s].edges);
-        out[s].diag = rs[s].diag;
-    }
-    return out;
+    const Scenario& sc = group.front();
+    return to_solve_results(
+        opm::simulate_opm_batch(*sys.descriptor, group_sources(group), sc.t_end,
+                                sc.steps, options_for<opm::OpmOptions>(sys, sc)),
+        Method::opm);
 }
 
 std::vector<SolveResult> run_transient_group(const SystemView& sys,
                                              std::span<const Scenario> group) {
-    transient::TransientOptions opt =
-        std::get<transient::TransientOptions>(group.front().config);
-    opt.caches = sys.caches;
-    opt.control = sys.control;
-    std::vector<transient::TransientResult> rs = transient::simulate_transient_batch(
-        *sys.descriptor, group_sources(group), group.front().t_end,
-        group.front().steps, opt);
-    std::vector<SolveResult> out(rs.size());
-    for (std::size_t s = 0; s < rs.size(); ++s) {
-        out[s].method = Method::transient;
-        out[s].outputs = std::move(rs[s].outputs);
-        out[s].states = std::move(rs[s].states);
-        out[s].grid = std::move(rs[s].times);
-        out[s].diag = rs[s].diag;
-    }
-    return out;
+    const Scenario& sc = group.front();
+    return to_solve_results(
+        transient::simulate_transient_batch(
+            *sys.descriptor, group_sources(group), sc.t_end, sc.steps,
+            options_for<transient::TransientOptions>(sys, sc)),
+        Method::transient);
 }
 
 std::vector<SolveResult> run_grunwald_group(const SystemView& sys,
                                             std::span<const Scenario> group) {
-    transient::GrunwaldOptions opt =
-        std::get<transient::GrunwaldOptions>(group.front().config);
-    opt.caches = sys.caches;
-    opt.control = sys.control;
-    std::vector<transient::GrunwaldResult> rs = transient::simulate_grunwald_batch(
-        *sys.descriptor, group_sources(group), group.front().t_end,
-        group.front().steps, opt);
-    std::vector<SolveResult> out(rs.size());
-    for (std::size_t s = 0; s < rs.size(); ++s) {
-        out[s].method = Method::grunwald;
-        out[s].outputs = std::move(rs[s].outputs);
-        out[s].states = std::move(rs[s].states);
-        out[s].grid = std::move(rs[s].times);
-        out[s].diag = rs[s].diag;
-    }
-    return out;
+    const Scenario& sc = group.front();
+    return to_solve_results(
+        transient::simulate_grunwald_batch(
+            *sys.descriptor, group_sources(group), sc.t_end, sc.steps,
+            options_for<transient::GrunwaldOptions>(sys, sc)),
+        Method::grunwald);
+}
+
+// ---- single-scenario runners ---------------------------------------------
+
+/// A batch of one through a group runner: simulate_opm / _transient /
+/// _grunwald are exactly that, so results are bitwise the same.
+template <auto RunGroup>
+SolveResult run_one(const SystemView& sys, const Scenario& sc) {
+    return std::move(RunGroup(sys, std::span<const Scenario>(&sc, 1)).front());
+}
+
+SolveResult run_multiterm(const SystemView& sys, const Scenario& sc) {
+    return to_solve_result(
+        opm::simulate_multiterm(*sys.multiterm, sc.sources, sc.t_end, sc.steps,
+                                options_for<opm::MultiTermOptions>(sys, sc)),
+        Method::multiterm);
+}
+
+SolveResult run_adaptive(const SystemView& sys, const Scenario& sc) {
+    return to_solve_result(
+        opm::simulate_opm_adaptive(*sys.descriptor, sc.sources, sc.t_end,
+                                   options_for<opm::AdaptiveOptions>(sys, sc)),
+        Method::adaptive);
 }
 
 constexpr SolverAdapter kRegistry[] = {
-    {Method::opm, "opm", false, &run_opm, &run_opm_group},
+    {Method::opm, "opm", false, &run_one<run_opm_group>, &run_opm_group},
     {Method::multiterm, "multiterm", true, &run_multiterm, nullptr},
     {Method::adaptive, "adaptive", false, &run_adaptive, nullptr},
-    {Method::transient, "transient", false, &run_transient, &run_transient_group},
-    {Method::grunwald, "grunwald", false, &run_grunwald, &run_grunwald_group},
+    {Method::transient, "transient", false, &run_one<run_transient_group>,
+     &run_transient_group},
+    {Method::grunwald, "grunwald", false, &run_one<run_grunwald_group>,
+     &run_grunwald_group},
 };
 
-// ---- per-method options equality (sources excluded by construction;
-// the `caches` pointer is Engine-injected and ignored) ---------------------
+// ---- per-method options equality: the fields() tables (util/fields.hpp);
+// sources are excluded by construction and the Engine-injected
+// caches/control pointers are not in the tables -----------------------------
 
-bool options_equal(const opm::OpmOptions& a, const opm::OpmOptions& b) {
-    return a.alpha == b.alpha && a.form == b.form && a.path == b.path &&
-           a.history == b.history && a.soe_tol == b.soe_tol && a.x0 == b.x0 &&
-           a.quad_points == b.quad_points && a.quad_panels == b.quad_panels;
+template <class Options>
+bool options_equal(const Options& a, const Options& b) {
+    return util::fields_equal(a, b);
 }
 
-bool options_equal(const opm::MultiTermOptions& a,
-                   const opm::MultiTermOptions& b) {
-    return a.path == b.path && a.history == b.history &&
-           a.soe_tol == b.soe_tol && a.quad_points == b.quad_points &&
-           a.quad_panels == b.quad_panels;
-}
-
-bool options_equal(const opm::AdaptiveOptions& a, const opm::AdaptiveOptions& b) {
-    return a.alpha == b.alpha && a.tol == b.tol && a.atol == b.atol &&
-           a.h_init == b.h_init && a.h_min == b.h_min && a.h_max == b.h_max &&
-           a.history == b.history && a.soe_tol == b.soe_tol && a.x0 == b.x0 &&
-           a.quad_points == b.quad_points && a.max_steps == b.max_steps &&
-           a.max_consecutive_rejects == b.max_consecutive_rejects;
-}
-
+/// TransientOptions::symbolic never travels, so it is not in fields(); in
+/// process, a caller-pinned analysis still keeps two configs apart.
 bool options_equal(const transient::TransientOptions& a,
                    const transient::TransientOptions& b) {
-    return a.method == b.method && a.x0 == b.x0 && a.symbolic == b.symbolic;
-}
-
-bool options_equal(const transient::GrunwaldOptions& a,
-                   const transient::GrunwaldOptions& b) {
-    return a.alpha == b.alpha && a.history == b.history &&
-           a.soe_tol == b.soe_tol && a.x0 == b.x0;
+    return util::fields_equal(a, b) && a.symbolic == b.symbolic;
 }
 
 } // namespace

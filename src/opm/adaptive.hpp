@@ -27,8 +27,9 @@
 namespace opmsim::opm {
 
 struct AdaptiveOptions {
-    // NOTE: keep api/registry.cpp options_equal() in sync when adding fields
-    // (it decides run_batch scenario grouping; `caches` is excluded).
+    // Wire-visible: fields() below is the one list that batch grouping
+    // (api::batch_compatible) and the svc wire codec fold over.  A new
+    // option is appended to fields(); only Engine-injected pointers stay out.
     double alpha = 1.0;  ///< differential order (> 0)
     double tol = 1e-4;   ///< relative local error target
     double atol = 0.0;   ///< absolute error floor (solution units);
@@ -69,8 +70,23 @@ struct AdaptiveOptions {
     SolveCaches* caches = nullptr;
     /// Optional cooperative deadline / cancellation token (non-owning;
     /// util/status.hpp), checked once per controller trial.  Injected by
-    /// Engine::run_batch; excluded from options_equal like `caches`.
+    /// Engine::run_batch; left out of fields() like `caches`.
     const util::RunControl* control = nullptr;
+
+    static constexpr auto fields() {
+        return std::tuple{&AdaptiveOptions::alpha,
+                          &AdaptiveOptions::tol,
+                          &AdaptiveOptions::atol,
+                          &AdaptiveOptions::h_init,
+                          &AdaptiveOptions::h_min,
+                          &AdaptiveOptions::h_max,
+                          &AdaptiveOptions::history,
+                          &AdaptiveOptions::soe_tol,
+                          &AdaptiveOptions::x0,
+                          &AdaptiveOptions::quad_points,
+                          &AdaptiveOptions::max_steps,
+                          &AdaptiveOptions::max_consecutive_rejects};
+    }
 };
 
 struct AdaptiveResult {

@@ -12,11 +12,13 @@
 /// (a warm run on a cached system must report zero `orderings`).
 ///
 /// Diagnostics is also a wire-level type: the scenario service
-/// (svc/wire.cpp) serializes every field below in declaration order, so
-/// additions go at the END of the struct and need a matching encoder /
-/// decoder clause (old decoders skip unknown trailing fields).
+/// (svc/wire.cpp) serializes the fields in the order of fields() at the
+/// end of the struct.  A new field goes at the END of the struct and is
+/// appended to fields() and to ci/diagnostics_fields.txt (old decoders
+/// skip unknown trailing fields).
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "la/sparse_lu.hpp"
@@ -105,6 +107,27 @@ struct Diagnostics {
     /// the warm-restart guarantee the snapshot loader is gated on.  0 when
     /// the soe backend was not used.
     int soe_fits = 0;
+
+    static constexpr auto fields() {
+        return std::tuple{&Diagnostics::factor_seconds,
+                          &Diagnostics::sweep_seconds,
+                          &Diagnostics::solve_seconds,
+                          &Diagnostics::rhs_solved,
+                          &Diagnostics::history_backend,
+                          &Diagnostics::soe_modes,
+                          &Diagnostics::soe_fit_error,
+                          &Diagnostics::kernel_evals,
+                          &Diagnostics::ordering,
+                          &Diagnostics::orderings,
+                          &Diagnostics::factorizations,
+                          &Diagnostics::refactor_count,
+                          &Diagnostics::factor_cache_hits,
+                          &Diagnostics::rcond_estimate,
+                          &Diagnostics::pivot_growth,
+                          &Diagnostics::refinement_iters,
+                          &Diagnostics::degradations,
+                          &Diagnostics::soe_fits};
+    }
 };
 
 } // namespace opmsim

@@ -57,8 +57,13 @@
 /// forward + K inverse transforms per block instead of K of each.
 ///
 /// Columns must be pushed in order; history(j, term) may be queried any
-/// time after columns 0..j-1 were pushed.  All backends agree to roundoff
-/// (~1e-13 relative); tests pin them to the naive oracle at 1e-10.
+/// time after columns 0..j-1 were pushed.  naive and blocked agree to
+/// roundoff (7e-15 relative on the 16-section fractional t-line at
+/// m = 16384).  The fft backend's error grows with m: on that t-line at
+/// alpha = 0.5 it is 1.1e-10 relative to blocked at m = 1024, 6.5e-10 at
+/// m = 4096 and 2-3e-9 at m = 16384 (perfbench reports it as
+/// checks.tline_fft_vs_blocked_rel).  tests/test_fast_history.cpp pins
+/// every backend to the naive oracle at 1e-10 for m <= 256.
 
 #include <complex>
 #include <memory>

@@ -58,8 +58,9 @@ enum class MultiTermPath {
 };
 
 struct MultiTermOptions {
-    // NOTE: keep api/registry.cpp options_equal() in sync when adding fields
-    // (it decides run_batch scenario grouping; `caches` is excluded).
+    // Wire-visible: fields() below is the one list that batch grouping
+    // (api::batch_compatible) and the svc wire codec fold over.  A new
+    // option is appended to fields(); only Engine-injected pointers stay out.
     MultiTermPath path = MultiTermPath::automatic;
     /// History-sum backend for the Toeplitz path (same semantics as
     /// OpmOptions::history): `naive` is the O(K n m^2) oracle loop,
@@ -77,11 +78,18 @@ struct MultiTermOptions {
     SolveCaches* caches = nullptr;
     /// Optional cooperative deadline / cancellation token (non-owning;
     /// util/status.hpp), checked at sweep-step granularity.  Injected by
-    /// Engine::run_batch; excluded from options_equal like `caches`.
+    /// Engine::run_batch; left out of fields() like `caches`.
     const util::RunControl* control = nullptr;
     /// Zero initial state is assumed (as in the paper); nonzero ICs for
     /// multi-term systems require per-order initial data and are out of
     /// scope for this reproduction.
+
+    static constexpr auto fields() {
+        return std::tuple{&MultiTermOptions::path, &MultiTermOptions::history,
+                          &MultiTermOptions::soe_tol,
+                          &MultiTermOptions::quad_points,
+                          &MultiTermOptions::quad_panels};
+    }
 };
 
 /// Simulate on [0, t_end) with m uniform steps.

@@ -1,5 +1,6 @@
 #include "opm/solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -34,28 +35,29 @@ DescriptorSystem DenseDescriptorSystem::to_sparse() const {
     return s;
 }
 
-std::vector<wave::Waveform> outputs_from_coeffs(const la::CscMatrix& c,
-                                                const la::Matrixd& x,
-                                                const Vectord& edges,
-                                                const Vectord& x0) {
+std::vector<wave::Waveform> outputs_at(const la::CscMatrix& c,
+                                       const la::Matrixd& x,
+                                       const Vectord& times, const Vectord& x0) {
     const index_t n = x.rows();
     const index_t m = x.cols();
     const index_t q = c.rows() > 0 ? c.rows() : n;
-    const Vectord mid = basis::interval_midpoints(edges);
+    OPMSIM_REQUIRE(static_cast<index_t>(times.size()) == m,
+                   "outputs_at: one time per state column required");
 
     la::Matrixd y(q, m);
-    Vectord xj(static_cast<std::size_t>(n));
+    Vectord shifted(x0.empty() ? 0 : static_cast<std::size_t>(n));
     for (index_t j = 0; j < m; ++j) {
-        for (index_t i = 0; i < n; ++i) {
-            xj[static_cast<std::size_t>(i)] = x(i, j);
-            if (!x0.empty()) xj[static_cast<std::size_t>(i)] += x0[static_cast<std::size_t>(i)];
+        const double* xj = x.col(j);
+        if (!x0.empty()) {
+            for (index_t i = 0; i < n; ++i)
+                shifted[static_cast<std::size_t>(i)] =
+                    xj[i] + x0[static_cast<std::size_t>(i)];
+            xj = shifted.data();
         }
-        if (c.rows() > 0) {
-            const Vectord yj = c.matvec(xj);
-            for (index_t i = 0; i < q; ++i) y(i, j) = yj[static_cast<std::size_t>(i)];
-        } else {
-            for (index_t i = 0; i < q; ++i) y(i, j) = xj[static_cast<std::size_t>(i)];
-        }
+        if (c.rows() > 0)
+            c.gaxpy(1.0, xj, y.col(j));
+        else
+            std::copy(xj, xj + n, y.col(j));
     }
 
     std::vector<wave::Waveform> out;
@@ -63,9 +65,16 @@ std::vector<wave::Waveform> outputs_from_coeffs(const la::CscMatrix& c,
     for (index_t i = 0; i < q; ++i) {
         Vectord v(static_cast<std::size_t>(m));
         for (index_t j = 0; j < m; ++j) v[static_cast<std::size_t>(j)] = y(i, j);
-        out.emplace_back(mid, std::move(v));
+        out.emplace_back(times, std::move(v));
     }
     return out;
+}
+
+std::vector<wave::Waveform> outputs_from_coeffs(const la::CscMatrix& c,
+                                                const la::Matrixd& x,
+                                                const Vectord& edges,
+                                                const Vectord& x0) {
+    return outputs_at(c, x, basis::interval_midpoints(edges), x0);
 }
 
 std::vector<wave::Waveform> endpoint_outputs_from_coeffs(const la::CscMatrix& c,
@@ -74,7 +83,6 @@ std::vector<wave::Waveform> endpoint_outputs_from_coeffs(const la::CscMatrix& c,
                                                          const Vectord& x0) {
     const index_t n = x.rows();
     const index_t m = x.cols();
-    const index_t q = c.rows() > 0 ? c.rows() : n;
     OPMSIM_REQUIRE(static_cast<index_t>(edges.size()) == m + 1,
                    "endpoint_outputs_from_coeffs: edge count mismatch");
 
@@ -88,26 +96,7 @@ std::vector<wave::Waveform> endpoint_outputs_from_coeffs(const la::CscMatrix& c,
                 x(i, j) + (x0.empty() ? 0.0 : x0[static_cast<std::size_t>(i)]);
             xe(i, j + 1) = 2.0 * avg - xe(i, j);
         }
-
-    std::vector<wave::Waveform> out;
-    out.reserve(static_cast<std::size_t>(q));
-    Vectord col(static_cast<std::size_t>(n));
-    la::Matrixd y(q, m + 1);
-    for (index_t j = 0; j <= m; ++j) {
-        for (index_t i = 0; i < n; ++i) col[static_cast<std::size_t>(i)] = xe(i, j);
-        if (c.rows() > 0) {
-            const Vectord yj = c.matvec(col);
-            for (index_t i = 0; i < q; ++i) y(i, j) = yj[static_cast<std::size_t>(i)];
-        } else {
-            for (index_t i = 0; i < q; ++i) y(i, j) = col[static_cast<std::size_t>(i)];
-        }
-    }
-    for (index_t i = 0; i < q; ++i) {
-        Vectord v(static_cast<std::size_t>(m) + 1);
-        for (index_t j = 0; j <= m; ++j) v[static_cast<std::size_t>(j)] = y(i, j);
-        out.emplace_back(edges, std::move(v));
-    }
-    return out;
+    return outputs_at(c, xe, edges);
 }
 
 namespace {

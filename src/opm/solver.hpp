@@ -27,6 +27,7 @@
 /// d^alpha z solved for; the fractional derivative of the constant x0
 /// vanishes, so E d^a z = A z + (B u + A x0).
 
+#include <tuple>
 #include <vector>
 
 #include "basis/basis.hpp"
@@ -87,10 +88,9 @@ enum class OpmPath {
 };
 
 struct OpmOptions {
-    // NOTE: api/registry.cpp's options_equal() decides run_batch scenario
-    // grouping by comparing every field here except `caches` — keep it in
-    // sync when adding fields, or grouped batches will silently run with
-    // the first scenario's value.
+    // Wire-visible: fields() below is the one list that batch grouping
+    // (api::batch_compatible) and the svc wire codec fold over.  A new
+    // option is appended to fields(); only Engine-injected pointers stay out.
     double alpha = 1.0;                   ///< differential order (> 0)
     OpmForm form = OpmForm::differential;
     OpmPath path = OpmPath::automatic;
@@ -114,8 +114,15 @@ struct OpmOptions {
     SolveCaches* caches = nullptr;
     /// Optional cooperative deadline / cancellation token (non-owning;
     /// util/status.hpp), checked at sweep-step granularity.  Injected by
-    /// Engine::run_batch; excluded from options_equal like `caches`.
+    /// Engine::run_batch; left out of fields() like `caches`.
     const util::RunControl* control = nullptr;
+
+    static constexpr auto fields() {
+        return std::tuple{&OpmOptions::alpha,       &OpmOptions::form,
+                          &OpmOptions::path,        &OpmOptions::history,
+                          &OpmOptions::soe_tol,     &OpmOptions::x0,
+                          &OpmOptions::quad_points, &OpmOptions::quad_panels};
+    }
 };
 
 struct OpmResult {
@@ -171,6 +178,14 @@ OpmResult simulate_generic_basis(const DenseDescriptorSystem& sys,
                                  const std::vector<wave::Source>& inputs,
                                  const basis::Basis& bas,
                                  const Vectord& x0 = {});
+
+/// Output waveforms y_j = C (x_j + x0) at times[j], one per state column
+/// x_j (C empty = identity, x0 empty = zero): the output assembly shared
+/// by every solver path, one C product per column.
+std::vector<wave::Waveform> outputs_at(const la::CscMatrix& c,
+                                       const la::Matrixd& x,
+                                       const Vectord& times,
+                                       const Vectord& x0 = {});
 
 /// Extract output waveforms y = C X sampled at interval midpoints.
 std::vector<wave::Waveform> outputs_from_coeffs(const la::CscMatrix& c,

@@ -1,10 +1,104 @@
 #include "svc/wire.hpp"
 
+#include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
+#include <vector>
 
+#include "util/fields.hpp"
 #include "wave/sources.hpp"
 
 namespace opmsim::svc {
+
+namespace {
+
+// ------------------------------------------------------------ field codecs
+//
+// The wire type of a field follows from its C++ type, so the struct codecs
+// below are folds over each struct's fields() table (util/fields.hpp).
+
+/// Decode-side enum range guard: values beyond the last enumerator are a
+/// classified decode error, never a wild enum.
+template <class Enum>
+Enum checked_enum(util::ByteReader& r, Enum last, const char* what) {
+    const std::uint8_t v = r.u8();
+    if (v > static_cast<std::uint8_t>(last))
+        r.fail(std::string("invalid ") + what + " enum value " +
+               std::to_string(v));
+    return static_cast<Enum>(v);
+}
+
+/// The last enumerator (and its name in decode errors) of every enum that
+/// travels as a u8 through put()/get() below.
+constexpr auto enum_bound(api::Method) {
+    return std::pair{api::Method::grunwald, "method"};
+}
+constexpr auto enum_bound(SourceSpec::Kind) {
+    return std::pair{SourceSpec::Kind::smooth_pulse_train, "source kind"};
+}
+constexpr auto enum_bound(opm::OpmForm) {
+    return std::pair{opm::OpmForm::integral, "OPM form"};
+}
+constexpr auto enum_bound(opm::OpmPath) {
+    return std::pair{opm::OpmPath::toeplitz, "OPM path"};
+}
+constexpr auto enum_bound(opm::MultiTermPath) {
+    return std::pair{opm::MultiTermPath::toeplitz, "multiterm path"};
+}
+constexpr auto enum_bound(opm::HistoryBackend) {
+    return std::pair{opm::HistoryBackend::soe, "history backend"};
+}
+constexpr auto enum_bound(transient::Method) {
+    return std::pair{transient::Method::gear2, "transient method"};
+}
+constexpr auto enum_bound(la::SparseLuOptions::Ordering) {
+    return std::pair{la::SparseLuOptions::Ordering::automatic, "pencil ordering"};
+}
+
+void put(util::ByteWriter& w, double v) { w.f64(v); }
+void put(util::ByteWriter& w, int v) { w.i32(v); }
+void put(util::ByteWriter& w, long v) { w.i64(v); }
+void put(util::ByteWriter& w, std::uint64_t v) { w.u64(v); }
+void put(util::ByteWriter& w, const std::vector<double>& v) { w.vec_f64(v); }
+void put(util::ByteWriter& w, const std::vector<std::string>& v) {
+    w.u64(v.size());
+    for (const std::string& s : v) w.str(s);
+}
+template <class Enum>
+    requires std::is_enum_v<Enum>
+void put(util::ByteWriter& w, Enum v) {
+    w.u8(static_cast<std::uint8_t>(v));
+}
+
+void get(util::ByteReader& r, double& v) { v = r.f64(); }
+void get(util::ByteReader& r, int& v) { v = r.i32(); }
+void get(util::ByteReader& r, long& v) { v = r.i64(); }
+void get(util::ByteReader& r, std::uint64_t& v) { v = r.u64(); }
+void get(util::ByteReader& r, std::vector<double>& v) { v = r.vec_f64(); }
+void get(util::ByteReader& r, std::vector<std::string>& v) {
+    const std::size_t n = r.count(8, "string list");
+    v.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) v.push_back(r.str());
+}
+template <class Enum>
+    requires std::is_enum_v<Enum>
+void get(util::ByteReader& r, Enum& v) {
+    const auto [last, what] = enum_bound(Enum{});
+    v = checked_enum(r, last, what);
+}
+
+template <class T>
+void put_fields(util::ByteWriter& w, const T& obj) {
+    util::for_each_field<T>([&](auto mp) { put(w, obj.*mp); });
+}
+
+template <class T>
+void get_fields(util::ByteReader& r, T& obj) {
+    util::for_each_field<T>([&](auto mp) { get(r, obj.*mp); });
+}
+
+} // namespace
 
 // ---------------------------------------------------------------- framing
 
@@ -143,10 +237,7 @@ void encode(util::ByteWriter& w, const SourceSpec& s) {
 SourceSpec decode_source_spec(util::ByteReader& outer) {
     util::ByteReader r = outer.sub_reader();
     SourceSpec s;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(SourceSpec::Kind::smooth_pulse_train))
-        r.fail("unknown source kind " + std::to_string(kind));
-    s.kind = static_cast<SourceSpec::Kind>(kind);
+    get(r, s.kind);
     s.params = r.vec_f64();
     s.t = r.vec_f64();
     s.v = r.vec_f64();
@@ -159,147 +250,30 @@ SourceSpec decode_source_spec(util::ByteReader& outer) {
 
 // ------------------------------------------------------------ MethodConfig
 
-namespace {
-
-/// Decode-side enum range guards: values beyond the last enumerator are a
-/// classified decode error, never a wild enum.
-template <class Enum>
-Enum checked_enum(util::ByteReader& r, Enum last, const char* what) {
-    const std::uint8_t v = r.u8();
-    if (v > static_cast<std::uint8_t>(last))
-        r.fail(std::string("invalid ") + what + " enum value " +
-               std::to_string(v));
-    return static_cast<Enum>(v);
-}
-
-opm::HistoryBackend decode_history(util::ByteReader& r) {
-    return checked_enum(r, opm::HistoryBackend::soe, "history backend");
-}
-
-} // namespace
-
 void encode(util::ByteWriter& w, const api::MethodConfig& config) {
     w.u8(static_cast<std::uint8_t>(config.index()));
     const std::size_t tok = w.begin_block();
-    // Exactly the fields options_equal() compares (api/registry.cpp) — the
-    // process-local caches/control/symbolic pointers never travel.
-    switch (api::method_of(config)) {
-    case api::Method::opm: {
-        const auto& o = std::get<opm::OpmOptions>(config);
-        w.f64(o.alpha);
-        w.u8(static_cast<std::uint8_t>(o.form));
-        w.u8(static_cast<std::uint8_t>(o.path));
-        w.u8(static_cast<std::uint8_t>(o.history));
-        w.f64(o.soe_tol);
-        w.vec_f64(o.x0);
-        w.i32(o.quad_points);
-        w.i32(o.quad_panels);
-        break;
-    }
-    case api::Method::multiterm: {
-        const auto& o = std::get<opm::MultiTermOptions>(config);
-        w.u8(static_cast<std::uint8_t>(o.path));
-        w.u8(static_cast<std::uint8_t>(o.history));
-        w.f64(o.soe_tol);
-        w.i32(o.quad_points);
-        w.i32(o.quad_panels);
-        break;
-    }
-    case api::Method::adaptive: {
-        const auto& o = std::get<opm::AdaptiveOptions>(config);
-        w.f64(o.alpha);
-        w.f64(o.tol);
-        w.f64(o.atol);
-        w.f64(o.h_init);
-        w.f64(o.h_min);
-        w.f64(o.h_max);
-        w.u8(static_cast<std::uint8_t>(o.history));
-        w.f64(o.soe_tol);
-        w.vec_f64(o.x0);
-        w.i32(o.quad_points);
-        w.i64(o.max_steps);
-        w.i64(o.max_consecutive_rejects);
-        break;
-    }
-    case api::Method::transient: {
-        const auto& o = std::get<transient::TransientOptions>(config);
-        w.u8(static_cast<std::uint8_t>(o.method));
-        w.vec_f64(o.x0);
-        break;
-    }
-    case api::Method::grunwald: {
-        const auto& o = std::get<transient::GrunwaldOptions>(config);
-        w.f64(o.alpha);
-        w.u8(static_cast<std::uint8_t>(o.history));
-        w.f64(o.soe_tol);
-        w.vec_f64(o.x0);
-        break;
-    }
-    }
+    // The process-local caches/control/symbolic members are not in the
+    // options' fields() tables, so they never travel.
+    std::visit([&w](const auto& o) { put_fields(w, o); }, config);
     w.end_block(tok);
 }
 
 api::MethodConfig decode_method_config(util::ByteReader& outer) {
-    const std::uint8_t tag = outer.u8();
-    if (tag > static_cast<std::uint8_t>(api::Method::grunwald))
-        outer.fail("unknown method tag " + std::to_string(tag));
+    api::Method tag{};
+    get(outer, tag);
     util::ByteReader r = outer.sub_reader();
-    switch (static_cast<api::Method>(tag)) {
-    case api::Method::opm: {
-        opm::OpmOptions o;
-        o.alpha = r.f64();
-        o.form = checked_enum(r, opm::OpmForm::integral, "OPM form");
-        o.path = checked_enum(r, opm::OpmPath::toeplitz, "OPM path");
-        o.history = decode_history(r);
-        o.soe_tol = r.f64();
-        o.x0 = r.vec_f64();
-        o.quad_points = r.i32();
-        o.quad_panels = r.i32();
-        return o;
-    }
-    case api::Method::multiterm: {
-        opm::MultiTermOptions o;
-        o.path = checked_enum(r, opm::MultiTermPath::toeplitz, "multiterm path");
-        o.history = decode_history(r);
-        o.soe_tol = r.f64();
-        o.quad_points = r.i32();
-        o.quad_panels = r.i32();
-        return o;
-    }
-    case api::Method::adaptive: {
-        opm::AdaptiveOptions o;
-        o.alpha = r.f64();
-        o.tol = r.f64();
-        o.atol = r.f64();
-        o.h_init = r.f64();
-        o.h_min = r.f64();
-        o.h_max = r.f64();
-        o.history = decode_history(r);
-        o.soe_tol = r.f64();
-        o.x0 = r.vec_f64();
-        o.quad_points = r.i32();
-        o.max_steps = static_cast<la::index_t>(r.i64());
-        o.max_consecutive_rejects = static_cast<la::index_t>(r.i64());
-        return o;
-    }
-    case api::Method::transient: {
-        transient::TransientOptions o;
-        o.method = checked_enum(r, transient::Method::gear2, "transient method");
-        o.x0 = r.vec_f64();
-        // o.symbolic stays null: the daemon's per-system SolveCaches supply
-        // the pattern analysis instead.
-        return o;
-    }
-    case api::Method::grunwald: {
-        transient::GrunwaldOptions o;
-        o.alpha = r.f64();
-        o.history = decode_history(r);
-        o.soe_tol = r.f64();
-        o.x0 = r.vec_f64();
-        return o;
-    }
-    }
-    outer.fail("unreachable method tag");
+    // Method tags index the MethodConfig alternatives (api::method_of).
+    // TransientOptions::symbolic stays null: the daemon's per-system
+    // SolveCaches supply the pattern analysis instead.
+    api::MethodConfig config;
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        ((static_cast<std::size_t>(tag) == I
+              ? get_fields(r, config.emplace<I>())
+              : void()),
+         ...);
+    }(std::make_index_sequence<std::variant_size_v<api::MethodConfig>>{});
+    return config;
 }
 
 // ---------------------------------------------------------------- Scenario
@@ -356,54 +330,14 @@ Status decode_status(util::ByteReader& outer) {
 
 void encode(util::ByteWriter& w, const Diagnostics& d) {
     const std::size_t tok = w.begin_block();
-    w.f64(d.factor_seconds);
-    w.f64(d.sweep_seconds);
-    w.f64(d.solve_seconds);
-    w.i64(d.rhs_solved);
-    w.u8(static_cast<std::uint8_t>(d.history_backend));
-    w.i32(d.soe_modes);
-    w.f64(d.soe_fit_error);
-    w.i64(d.kernel_evals);
-    w.u8(static_cast<std::uint8_t>(d.ordering));
-    w.i32(d.orderings);
-    w.i32(d.factorizations);
-    w.i32(d.refactor_count);
-    w.i32(d.factor_cache_hits);
-    w.f64(d.rcond_estimate);
-    w.f64(d.pivot_growth);
-    w.i64(d.refinement_iters);
-    w.u64(d.degradations.size());
-    for (const std::string& s : d.degradations) w.str(s);
-    w.i32(d.soe_fits);
-    // New Diagnostics fields are appended here (and at the END of the
-    // struct) so old decoders skip them via the block length.
+    put_fields(w, d);
     w.end_block(tok);
 }
 
 Diagnostics decode_diagnostics(util::ByteReader& outer) {
     util::ByteReader r = outer.sub_reader();
     Diagnostics d;
-    d.factor_seconds = r.f64();
-    d.sweep_seconds = r.f64();
-    d.solve_seconds = r.f64();
-    d.rhs_solved = r.i64();
-    d.history_backend = decode_history(r);
-    d.soe_modes = r.i32();
-    d.soe_fit_error = r.f64();
-    d.kernel_evals = r.i64();
-    d.ordering = checked_enum(r, la::SparseLuOptions::Ordering::automatic,
-                              "pencil ordering");
-    d.orderings = r.i32();
-    d.factorizations = r.i32();
-    d.refactor_count = r.i32();
-    d.factor_cache_hits = r.i32();
-    d.rcond_estimate = r.f64();
-    d.pivot_growth = r.f64();
-    d.refinement_iters = r.i64();
-    const std::size_t ndeg = r.count(8, "degradations");
-    d.degradations.reserve(ndeg);
-    for (std::size_t k = 0; k < ndeg; ++k) d.degradations.push_back(r.str());
-    d.soe_fits = r.i32();
+    get_fields(r, d);
     return d;
 }
 
@@ -491,10 +425,7 @@ void encode(util::ByteWriter& w, const api::SolveResult& res) {
 api::SolveResult decode_result(util::ByteReader& outer) {
     util::ByteReader r = outer.sub_reader();
     api::SolveResult res;
-    const std::uint8_t m = r.u8();
-    if (m > static_cast<std::uint8_t>(api::Method::grunwald))
-        r.fail("unknown method tag " + std::to_string(m));
-    res.method = static_cast<api::Method>(m);
+    get(r, res.method);
     res.status = decode_status(r);
     const std::size_t nout = r.count(8, "output waveforms");
     res.outputs.reserve(nout);
@@ -571,31 +502,21 @@ opm::MultiTermSystem decode_multiterm(util::ByteReader& outer) {
 
 void encode(util::ByteWriter& w, const ServiceStats& s) {
     const std::size_t tok = w.begin_block();
-    w.u64(s.requests);
-    w.u64(s.batches);
-    w.u64(s.coalesced);
-    w.u64(s.largest_batch);
-    // Minor-1 survivability counters — appended at the END of the block so
-    // a minor-0 decoder skips them with the rest of the trailing bytes.
-    w.u64(s.shed);
-    w.u64(s.deadline_expired);
-    w.u64(s.drains);
-    w.u64(s.reconnects_seen);
+    put_fields(w, s);
     w.end_block(tok);
 }
 
 ServiceStats decode_service_stats(util::ByteReader& outer) {
+    // A minor-0 encoder stops after the first four counters; the minor-1
+    // ones it cannot know stay 0.
+    constexpr std::size_t kMinor0Fields = 4;
     util::ByteReader r = outer.sub_reader();
     ServiceStats s;
-    s.requests = r.u64();
-    s.batches = r.u64();
-    s.coalesced = r.u64();
-    s.largest_batch = r.u64();
-    // A minor-0 encoder stops here; the counters it cannot know stay 0.
-    if (r.remaining() >= 8) s.shed = r.u64();
-    if (r.remaining() >= 8) s.deadline_expired = r.u64();
-    if (r.remaining() >= 8) s.drains = r.u64();
-    if (r.remaining() >= 8) s.reconnects_seen = r.u64();
+    std::size_t k = 0;
+    util::for_each_field<ServiceStats>([&](auto mp) {
+        if (k++ < kMinor0Fields || r.remaining() >= sizeof(s.*mp))
+            get(r, s.*mp);
+    });
     return s;
 }
 

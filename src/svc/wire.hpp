@@ -36,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/scenario.hpp"
@@ -146,13 +147,14 @@ struct SourceSpec {
 };
 
 /// The wire-level Scenario: api::Scenario with SourceSpecs in place of the
-/// unserializable closures.  The MethodConfig travels with exactly the
-/// fields api/registry.cpp's options_equal() compares — the process-local
-/// `caches`/`control` pointers (Engine-injected) and
+/// unserializable closures.  The MethodConfig travels as its options
+/// struct's fields() table, the same table api::batch_compatible compares,
+/// so two scenarios that coalesce into one micro-batch in process also
+/// coalesce through the daemon.  A new option is appended to fields().
+/// The process-local `caches`/`control` pointers (Engine-injected) and
 /// TransientOptions::symbolic (decoded null; the daemon's per-system
-/// caches supply the analysis) never cross the wire, so two scenarios that
-/// coalesce into one micro-batch in process also coalesce through the
-/// daemon.
+/// caches supply the analysis) are not in the tables and never cross the
+/// wire.
 struct WireScenario {
     std::vector<SourceSpec> sources;
     double t_end = 0.0;
@@ -163,10 +165,11 @@ struct WireScenario {
     [[nodiscard]] api::Scenario to_scenario() const;
 };
 
-/// Daemon micro-batching + survivability counters (stats_reply body).
-/// The last four are minor-1 additions: the encoder appends them inside
-/// the length-prefixed block and the decoder reads them only when bytes
-/// remain, so minor-0 peers interoperate in both directions.
+/// Daemon micro-batching + survivability counters (stats_reply body, in
+/// fields() order).  The last four are minor-1 additions: the encoder
+/// appends them inside the length-prefixed block and the decoder reads
+/// them only when bytes remain, so minor-0 peers interoperate in both
+/// directions.
 struct ServiceStats {
     std::uint64_t requests = 0;       ///< submit frames executed
     std::uint64_t batches = 0;        ///< run_batch sweeps dispatched
@@ -176,6 +179,13 @@ struct ServiceStats {
     std::uint64_t deadline_expired = 0;  ///< submits answered deadline_exceeded
     std::uint64_t drains = 0;            ///< graceful drains begun
     std::uint64_t reconnects_seen = 0;   ///< hello frames flagged as reconnects
+
+    static constexpr auto fields() {
+        return std::tuple{&ServiceStats::requests,   &ServiceStats::batches,
+                          &ServiceStats::coalesced,  &ServiceStats::largest_batch,
+                          &ServiceStats::shed,       &ServiceStats::deadline_expired,
+                          &ServiceStats::drains,     &ServiceStats::reconnects_seen};
+    }
 };
 
 // Struct codecs.  Every encoder writes one length-prefixed block; every

@@ -103,10 +103,8 @@ std::vector<GrunwaldResult> simulate_grunwald_batch(
     }
     diag.sweep_seconds = timer.elapsed_s();
 
-    // Per-scenario results + outputs.
-    const la::index_t q = sys.num_outputs();
+    // Per-scenario results + outputs y = C x at the step times.
     std::vector<GrunwaldResult> out(static_cast<std::size_t>(nscen));
-    la::Vectord col(static_cast<std::size_t>(n));
     for (la::index_t s = 0; s < nscen; ++s) {
         GrunwaldResult& res = out[static_cast<std::size_t>(s)];
         res.times = times;
@@ -130,20 +128,7 @@ std::vector<GrunwaldResult> simulate_grunwald_batch(
             if (opt.caches != nullptr) res.diag.factor_cache_hits = 1;
         }
         res.diag.rhs_solved = m;
-        for (la::index_t o = 0; o < q; ++o) {
-            la::Vectord v(static_cast<std::size_t>(m) + 1, 0.0);
-            for (la::index_t k = 0; k <= m; ++k) {
-                for (la::index_t i = 0; i < n; ++i)
-                    col[static_cast<std::size_t>(i)] = res.states(i, k);
-                if (sys.c.rows() > 0) {
-                    const la::Vectord yk = sys.c.matvec(col);
-                    v[static_cast<std::size_t>(k)] = yk[static_cast<std::size_t>(o)];
-                } else {
-                    v[static_cast<std::size_t>(k)] = col[static_cast<std::size_t>(o)];
-                }
-            }
-            res.outputs.emplace_back(res.times, std::move(v));
-        }
+        res.outputs = opm::outputs_at(sys.c, res.states, res.times);
     }
     return out;
 }

@@ -18,8 +18,9 @@
 namespace opmsim::transient {
 
 struct GrunwaldOptions {
-    // NOTE: keep api/registry.cpp options_equal() in sync when adding fields
-    // (it decides run_batch scenario grouping; `caches` is excluded).
+    // Wire-visible: fields() below is the one list that batch grouping
+    // (api::batch_compatible) and the svc wire codec fold over.  A new
+    // option is appended to fields(); only Engine-injected pointers stay out.
     double alpha = 0.5;  ///< fractional order, > 0
     /// History-sum backend (same semantics as OpmOptions::history).
     opm::HistoryBackend history = opm::HistoryBackend::automatic;
@@ -38,8 +39,13 @@ struct GrunwaldOptions {
     opm::SolveCaches* caches = nullptr;
     /// Optional cooperative deadline / cancellation token (non-owning;
     /// util/status.hpp), checked at step granularity.  Injected by
-    /// Engine::run_batch; excluded from options_equal like `caches`.
+    /// Engine::run_batch; left out of fields() like `caches`.
     const util::RunControl* control = nullptr;
+
+    static constexpr auto fields() {
+        return std::tuple{&GrunwaldOptions::alpha, &GrunwaldOptions::history,
+                          &GrunwaldOptions::soe_tol, &GrunwaldOptions::x0};
+    }
 };
 
 struct GrunwaldResult {

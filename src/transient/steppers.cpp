@@ -179,9 +179,7 @@ std::vector<TransientResult> simulate_transient_batch(
     diag.sweep_seconds = t.elapsed_s();
 
     // Per-scenario results + outputs y = C x at the step times.
-    const index_t q = sys.num_outputs();
     std::vector<TransientResult> out(static_cast<std::size_t>(nscen));
-    Vectord col(static_cast<std::size_t>(n));
     for (index_t s = 0; s < nscen; ++s) {
         TransientResult& res = out[static_cast<std::size_t>(s)];
         res.times = times;
@@ -203,22 +201,7 @@ std::vector<TransientResult> simulate_transient_batch(
         }
         res.diag.rhs_solved = m;
         res.symbolic = symbolic;
-
-        la::Matrixd y(q, m + 1);
-        for (index_t k = 0; k <= m; ++k) {
-            for (index_t i = 0; i < n; ++i) col[static_cast<std::size_t>(i)] = res.states(i, k);
-            if (sys.c.rows() > 0) {
-                const Vectord yk = sys.c.matvec(col);
-                for (index_t i = 0; i < q; ++i) y(i, k) = yk[static_cast<std::size_t>(i)];
-            } else {
-                for (index_t i = 0; i < q; ++i) y(i, k) = col[static_cast<std::size_t>(i)];
-            }
-        }
-        for (index_t i = 0; i < q; ++i) {
-            Vectord v(static_cast<std::size_t>(m) + 1);
-            for (index_t k = 0; k <= m; ++k) v[static_cast<std::size_t>(k)] = y(i, k);
-            res.outputs.emplace_back(res.times, std::move(v));
-        }
+        res.outputs = opm::outputs_at(sys.c, res.states, res.times);
     }
     return out;
 }

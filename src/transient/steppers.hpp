@@ -25,8 +25,10 @@ enum class Method {
 };
 
 struct TransientOptions {
-    // NOTE: keep api/registry.cpp options_equal() in sync when adding fields
-    // (it decides run_batch scenario grouping; `caches` is excluded).
+    // Wire-visible: fields() below is the one list that batch grouping
+    // (api::batch_compatible) and the svc wire codec fold over.  A new
+    // option is appended to fields(); only Engine-injected pointers and
+    // `symbolic` stay out.
     Method method = Method::trapezoidal;
     Vectord x0;  ///< initial state; empty = zero
     /// Optional shared pattern analysis for the implicit pencil
@@ -41,8 +43,15 @@ struct TransientOptions {
     opm::SolveCaches* caches = nullptr;
     /// Optional cooperative deadline / cancellation token (non-owning;
     /// util/status.hpp), checked at step granularity.  Injected by
-    /// Engine::run_batch; excluded from options_equal like `caches`.
+    /// Engine::run_batch; left out of fields() like `caches`.
     const util::RunControl* control = nullptr;
+
+    /// `symbolic` is not here: it never travels (the daemon's per-system
+    /// caches supply the analysis), and batch_compatible compares it
+    /// explicitly.
+    static constexpr auto fields() {
+        return std::tuple{&TransientOptions::method, &TransientOptions::x0};
+    }
 };
 
 struct TransientResult {

@@ -24,16 +24,19 @@ sys.path.insert(0, str(REPO / "ci"))
 import lint_invariants  # noqa: E402  (needs the sys.path insert above)
 
 # Only what the linter reads — keeps each scratch copy small.
-LINT_INPUTS = [
-    "src/util/status.hpp",
-    "src/util/fault_inject.hpp",
-    "src/opm/diagnostics.hpp",
-    "src/api/registry.cpp",
-    "src/svc/wire.cpp",
-    "docs/robustness.md",
-    "ci/diagnostics_fields.txt",
-] + [f"src/{rel}" for rel in lint_invariants.SWEEP_FILES] \
-  + [p.relative_to(REPO).as_posix() for p in sorted((REPO / "tests").glob("*.cpp"))]
+LINT_INPUTS = sorted(
+    {
+        "src/util/status.hpp",
+        "src/util/fault_inject.hpp",
+        "src/api/registry.cpp",
+        "src/svc/wire.cpp",
+        "docs/robustness.md",
+        "ci/diagnostics_fields.txt",
+    }
+    | {rel for rel, _ in lint_invariants.WIRE_STRUCTS}
+    | {f"src/{rel}" for rel in lint_invariants.SWEEP_FILES}
+    | {p.relative_to(REPO).as_posix() for p in (REPO / "tests").glob("*.cpp")}
+)
 
 
 def make_tree(tmp: pathlib.Path) -> pathlib.Path:
@@ -111,23 +114,34 @@ expect_fires(
                       'checked_enum(r, ErrorCode::cancelled, "error code"'),
     expect_substr="cancelled")
 
-# Rule 2a: a field inserted MID-struct (reorders the wire layout).
+# Rule 2a: a field inserted MID-table (reorders the wire layout).
+def insert_mid_table(root: pathlib.Path) -> None:
+    edit(root, "src/opm/diagnostics.hpp", r"\n    int soe_fits = 0;",
+         "\n    int soe_fits = 0;\n    int sneaky_insert = 0;")
+    edit(root, "src/opm/diagnostics.hpp", r"&Diagnostics::sweep_seconds,",
+         "&Diagnostics::sneaky_insert, &Diagnostics::sweep_seconds,")
+
+
 expect_fires(
-    "diagnostics-append fires on a mid-struct insertion",
+    "diagnostics-append fires on a mid-table insertion",
     "diagnostics-append",
-    lambda root: edit(root, "src/opm/diagnostics.hpp",
-                      r"\n    double sweep_seconds = 0\.0;",
-                      "\n    int sneaky_insert = 0;"
-                      "\n    double sweep_seconds = 0.0;"),
+    insert_mid_table,
     expect_substr="sneaky_insert")
 
-# Rule 2b: a field appended WITHOUT manifest/codec updates.
+
+# Rule 2b: a field appended to the struct and its table but not to the
+# manifest.
+def append_without_manifest(root: pathlib.Path) -> None:
+    edit(root, "src/opm/diagnostics.hpp", r"\n    int soe_fits = 0;",
+         "\n    int soe_fits = 0;\n    int orphan_field = 0;")
+    edit(root, "src/opm/diagnostics.hpp", r"&Diagnostics::soe_fits\}",
+         "&Diagnostics::soe_fits, &Diagnostics::orphan_field}")
+
+
 expect_fires(
-    "diagnostics-append fires on an append missing manifest+codec",
+    "diagnostics-append fires on an append missing from the manifest",
     "diagnostics-append",
-    lambda root: edit(root, "src/opm/diagnostics.hpp",
-                      r"\n    int soe_fits = 0;",
-                      "\n    int soe_fits = 0;\n    int orphan_field = 0;"),
+    append_without_manifest,
     expect_substr="orphan_field")
 
 # Rule 3: a sweep file that stops consulting RunControl (every occurrence
@@ -146,15 +160,15 @@ expect_fires(
     drop_runcontrol,
     expect_substr="steppers.cpp")
 
-# Rule 4: options_equal grows a comparison the wire codec doesn't carry.
+# Rule 4: an options member missing from its fields() table (neither
+# compared for batch grouping nor carried on the wire).
 expect_fires(
-    "options-wire-parity fires on a compared-but-not-encoded field",
-    "options-wire-parity",
-    lambda root: edit(root, "src/api/registry.cpp",
-                      r"return a\.alpha == b\.alpha && a\.history == b\.history &&",
-                      "return a.alpha == b.alpha && a.ghost == b.ghost && "
-                      "a.history == b.history &&"),
-    expect_substr="ghost")
+    "fields-table fires on a member missing from its table",
+    "fields-table",
+    lambda root: edit(root, "src/transient/grunwald.hpp",
+                      r"\n    la::Vectord x0;",
+                      "\n    la::Vectord x0;\n    double ghost = 0.0;"),
+    expect_substr="GrunwaldOptions::ghost")
 
 # Rule 5: a naked std::runtime_error outside the taxonomy files.
 expect_fires(

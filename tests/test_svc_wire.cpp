@@ -19,11 +19,17 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "api/engine.hpp"
 #include "api/registry.hpp"
+#include "la/sparse_lu.hpp"
 #include "svc/wire.hpp"
+#include "util/fields.hpp"
+#include "util/hash.hpp"
 
 namespace api = opmsim::api;
 namespace la = opmsim::la;
@@ -117,6 +123,86 @@ void expect_csc_bits(const la::CscMatrix& a, const la::CscMatrix& b) {
     ASSERT_EQ(a.col_ptr(), b.col_ptr());
     ASSERT_EQ(a.row_ind(), b.row_ind());
     ASSERT_EQ(a.values(), b.values());
+}
+
+/// One config per MethodConfig alternative, in Method tag order, with the
+/// non-default option values MethodConfigRoundTripEveryAlternative
+/// round-trips.
+std::vector<api::MethodConfig> every_alternative() {
+    opm::OpmOptions opm_opt;
+    opm_opt.alpha = 0.5;
+    opm_opt.form = opm::OpmForm::integral;
+    opm_opt.path = opm::OpmPath::recurrence;
+    opm_opt.history = opm::HistoryBackend::fft;
+    opm_opt.soe_tol = 1e-6;
+    opm_opt.x0 = la::Vectord{{1.0, -2.0, 0.5}};
+    opm_opt.quad_points = 8;
+    opm_opt.quad_panels = 3;
+
+    opm::MultiTermOptions mt_opt;
+    mt_opt.path = opm::MultiTermPath::toeplitz;
+    mt_opt.history = opm::HistoryBackend::blocked;
+    mt_opt.soe_tol = 2e-7;
+    mt_opt.quad_points = 5;
+    mt_opt.quad_panels = 2;
+
+    opm::AdaptiveOptions ad_opt;
+    ad_opt.alpha = 0.75;
+    ad_opt.tol = 1e-5;
+    ad_opt.h_init = 1e-6;
+    ad_opt.h_min = 1e-9;
+    ad_opt.h_max = 1e-3;
+    ad_opt.history = opm::HistoryBackend::soe;
+    ad_opt.soe_tol = 1e-9;
+    ad_opt.x0 = la::Vectord{{0.125}};
+    ad_opt.quad_points = 4;
+    ad_opt.max_steps = 5000;
+    ad_opt.max_consecutive_rejects = 12;
+
+    transient::TransientOptions tr_opt;
+    tr_opt.method = transient::Method::gear2;
+    tr_opt.x0 = la::Vectord{{3.0, 4.0}};
+
+    transient::GrunwaldOptions gl_opt;
+    gl_opt.alpha = 0.8;
+    gl_opt.history = opm::HistoryBackend::soe;
+    gl_opt.soe_tol = 5e-8;
+    gl_opt.x0 = la::Vectord{{-1.0}};
+
+    return {opm_opt, mt_opt, ad_opt, tr_opt, gl_opt};
+}
+
+/// A value of the same type that differs from `v`.
+double perturbed(double v) { return v + 1.0; }
+int perturbed(int v) { return v + 1; }
+long perturbed(long v) { return v + 1; }
+la::Vectord perturbed(la::Vectord v) {
+    v.push_back(7.0);
+    return v;
+}
+template <class Enum>
+    requires std::is_enum_v<Enum>
+Enum perturbed(Enum v) {
+    return static_cast<Enum>(static_cast<int>(v) == 0 ? 1 : 0);
+}
+
+api::MethodConfig wire_round_trip(const api::MethodConfig& c) {
+    util::ByteWriter w;
+    svc::encode(w, c);
+    util::ByteReader r(w.data());
+    return svc::decode_method_config(r);
+}
+
+/// Pin an encoding by its length and FNV-1a digest.
+template <class T>
+void expect_golden(const T& value, std::size_t size, std::uint64_t digest,
+                   const std::string& what) {
+    util::ByteWriter w;
+    svc::encode(w, value);
+    EXPECT_EQ(w.size(), size) << what;
+    EXPECT_EQ(opmsim::fnv1a(w.data().data(), w.size()), digest)
+        << what << " (0x" << std::hex << opmsim::fnv1a(w.data().data(), w.size())
+        << ")";
 }
 
 } // namespace
@@ -541,6 +627,112 @@ TEST(SvcWire, SolveResultRoundTripBitwise) {
     EXPECT_EQ(d.diag.orderings, res.diag.orderings);
     EXPECT_EQ(d.diag.factor_seconds, res.diag.factor_seconds);
     EXPECT_EQ(d.diag.soe_fits, res.diag.soe_fits);
+}
+
+// A fold over fields() written with || instead of &&, or a table that
+// drops an entry, would let scenarios with different options share one
+// sweep; every round-trip test above would still pass.
+TEST(SvcWire, EveryOptionFieldSeparatesBatchesAndTravels) {
+    for (const api::MethodConfig& base : every_alternative()) {
+        std::visit(
+            [&base](const auto& opt) {
+                using Options = std::decay_t<decltype(opt)>;
+                int field = 0;
+                opmsim::util::for_each_field<Options>([&](auto mp) {
+                    Options changed = opt;
+                    changed.*mp = perturbed(opt.*mp);
+                    api::Scenario a, b;
+                    a.t_end = b.t_end = 1e-3;
+                    a.steps = b.steps = 32;
+                    a.config = opt;
+                    b.config = changed;
+                    EXPECT_FALSE(api::batch_compatible(a, b))
+                        << "alternative " << base.index() << " field " << field;
+                    api::Scenario d = b;
+                    d.config = wire_round_trip(b.config);
+                    EXPECT_TRUE(api::batch_compatible(b, d))
+                        << "alternative " << base.index() << " field " << field;
+                    EXPECT_FALSE(api::batch_compatible(a, d))
+                        << "alternative " << base.index() << " field " << field;
+                    ++field;
+                });
+                EXPECT_GT(field, 0) << "alternative " << base.index();
+            },
+            base);
+    }
+}
+
+TEST(SvcWire, TransientSymbolicSeparatesBatchesButNeverTravels) {
+    la::Triplets t(1, 1);
+    t.add(0, 0, 1.0);
+    transient::TransientOptions pinned;
+    pinned.symbolic =
+        std::make_shared<const la::SparseLuSymbolic>(la::CscMatrix(t));
+    api::Scenario a, b;
+    a.t_end = b.t_end = 1e-3;
+    a.steps = b.steps = 32;
+    a.config = transient::TransientOptions{};
+    b.config = pinned;
+    EXPECT_FALSE(api::batch_compatible(a, b));
+
+    api::Scenario d = b;
+    d.config = wire_round_trip(b.config);
+    EXPECT_EQ(std::get<transient::TransientOptions>(d.config).symbolic, nullptr);
+    EXPECT_TRUE(api::batch_compatible(a, d));
+}
+
+// ------------------------------------------------------------ golden bytes
+
+// Round trips cannot see a codec that writes two same-typed fields in
+// swapped order on BOTH sides; these pins can.  Each encoding's length and
+// FNV-1a digest were recorded from the hand-written codecs, so any change
+// to the bytes on the wire fails here.
+TEST(SvcWire, GoldenBytesEveryMethodConfigAlternative) {
+    const std::size_t sizes[] = {68, 27, 102, 34, 42};
+    const std::uint64_t digests[] = {0xa8359b92d811a65full, 0x2cf403e285fd2904ull,
+                                     0x6b16a382641ae785ull, 0x941b2162ec1ff221ull,
+                                     0x60929fcde4c5d159ull};
+    const std::vector<api::MethodConfig> configs = every_alternative();
+    for (std::size_t k = 0; k < configs.size(); ++k)
+        expect_golden(configs[k], sizes[k], digests[k],
+                      "alternative " + std::to_string(k));
+}
+
+TEST(SvcWire, GoldenBytesDiagnosticsStatsAndResult) {
+    Diagnostics dg;
+    dg.factor_seconds = 0.25;
+    dg.sweep_seconds = 1.5;
+    dg.solve_seconds = 0.75;
+    dg.rhs_solved = 4096;
+    dg.history_backend = opm::HistoryBackend::soe;
+    dg.soe_modes = 48;
+    dg.soe_fit_error = 3e-9;
+    dg.kernel_evals = 123456;
+    dg.ordering = la::SparseLuOptions::Ordering::amd;
+    dg.orderings = 2;
+    dg.factorizations = 3;
+    dg.refactor_count = 4;
+    dg.factor_cache_hits = 5;
+    dg.rcond_estimate = 1.25e-7;
+    dg.pivot_growth = 17.5;
+    dg.refinement_iters = 6;
+    dg.degradations = {"supernodal_fallback", "pivot_tol_refactor"};
+    dg.soe_fits = 7;
+    expect_golden(dg, 167, 0xc85d0b5c91532a77ull, "Diagnostics");
+
+    const svc::ServiceStats st{11, 4, 7, 5, 13, 2, 1, 3};
+    expect_golden(st, 72, 0xafb3a8ebf631fa85ull, "ServiceStats");
+
+    api::SolveResult res;
+    res.method = api::Method::grunwald;
+    res.status = {ErrorCode::nonfinite_state, "NaN in column 3"};
+    res.outputs = {wave::Waveform({0.0, 1.0}, {0.5, 0.25})};
+    res.states = la::Matrixd(2, 3);
+    res.states(1, 2) = 42.0;
+    res.grid = la::Vectord{{0.0, 0.5, 1.0}};
+    res.steps = la::Vectord{{0.5, 0.5}};
+    res.diag = dg;
+    expect_golden(res, 400, 0x2205047857581334ull, "SolveResult");
 }
 
 // ----------------------------------------------------- defensive decoding
